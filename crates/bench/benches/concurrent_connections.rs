@@ -1,24 +1,19 @@
-//! Criterion bench for the TCP front-ends under many concurrent
+//! Criterion bench for the epoll front-end under many concurrent
 //! pipelined clients on the 10k-entity Google-flavoured workload:
+//! **epoll/Nconn** opens N simultaneous `gk-client` connections, each
+//! pipelining its own deterministic request batch, and the reactor
+//! multiplexes them over 4 request workers.
 //!
-//! * **epoll/Nconn** — the nonblocking event loop: N simultaneous
-//!   `gk-client` connections, each pipelining its own deterministic
-//!   request batch; the reactor multiplexes them over 4 request workers;
-//! * **threaded/Nconn** — the blocking thread-per-connection pool at the
-//!   same 4 workers: connections beyond the pool queue behind it.
-//!
-//! Both models answer the identical request stream byte-identically (the
-//! `concurrent_connections` suite experiment asserts that); the measured
-//! gap is how each front-end schedules many connections over few
-//! workers. Client counts stay modest here — criterion repeats each
-//! iteration many times, and the 1024-client capacity point lives in the
-//! suite experiment, not the hot loop.
+//! The `concurrent_connections` suite experiment checks the answers
+//! against in-process `Server::handle`. Client counts stay modest here —
+//! criterion repeats each iteration many times, and the 1024-client
+//! capacity point lives in the suite experiment, not the hot loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gk_client::Client;
 use gk_datagen::{generate, GenConfig};
 use gk_graph::GraphBuilder;
-use gk_server::{serve_with, NetModel, ServeOptions, Server};
+use gk_server::{serve, Server};
 use std::sync::{Arc, Barrier};
 
 fn bench_concurrent_connections(cr: &mut Criterion) {
@@ -56,57 +51,45 @@ fn bench_concurrent_connections(cr: &mut Criterion) {
     let mut group = cr.benchmark_group("concurrent_connections_google_10k");
     group.sample_size(10);
 
-    for model in [NetModel::Epoll, NetModel::Threaded] {
-        let server = Arc::new(Server::new(
-            GraphBuilder::from_graph(&w.graph).freeze(),
-            w.keys.clone(),
-        ));
-        let handle = serve_with(
-            server,
-            "127.0.0.1:0",
-            &ServeOptions {
-                threads: 4,
-                model,
-                max_conns: 0,
-                metrics_addr: None,
-            },
-        )
-        .expect("bind ephemeral port");
-        let addr = handle.addr().to_string();
+    let server = Arc::new(Server::new(
+        GraphBuilder::from_graph(&w.graph).freeze(),
+        w.keys.clone(),
+    ));
+    let handle = serve(server, "127.0.0.1:0", 4).expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
 
-        for clients in [16usize, 64] {
-            group.bench_with_input(
-                criterion::BenchmarkId::new(model.to_string(), format!("{clients}conn")),
-                &clients,
-                |b, &clients| {
-                    b.iter(|| {
-                        // Fresh connections each iteration: connection
-                        // churn is part of what a front-end schedules.
-                        let barrier = Arc::new(Barrier::new(clients + 1));
-                        let threads: Vec<_> = (0..clients)
-                            .map(|c| {
-                                let addr = addr.clone();
-                                let barrier = Arc::clone(&barrier);
-                                let lines = batch(c);
-                                std::thread::spawn(move || {
-                                    let mut client = Client::connect(&addr).expect("connect");
-                                    barrier.wait();
-                                    client
-                                        .run_pipelined_raw(&lines, 8)
-                                        .expect("pipelined batch")
-                                })
+    for clients in [16usize, 64] {
+        group.bench_with_input(
+            criterion::BenchmarkId::new("epoll", format!("{clients}conn")),
+            &clients,
+            |b, &clients| {
+                b.iter(|| {
+                    // Fresh connections each iteration: connection churn
+                    // is part of what a front-end schedules.
+                    let barrier = Arc::new(Barrier::new(clients + 1));
+                    let threads: Vec<_> = (0..clients)
+                        .map(|c| {
+                            let addr = addr.clone();
+                            let barrier = Arc::clone(&barrier);
+                            let lines = batch(c);
+                            std::thread::spawn(move || {
+                                let mut client = Client::connect(&addr).expect("connect");
+                                barrier.wait();
+                                client
+                                    .run_pipelined_raw(&lines, 8)
+                                    .expect("pipelined batch")
                             })
-                            .collect();
-                        barrier.wait();
-                        for t in threads {
-                            t.join().expect("client thread");
-                        }
-                    });
-                },
-            );
-        }
-        handle.stop();
+                        })
+                        .collect();
+                    barrier.wait();
+                    for t in threads {
+                        t.join().expect("client thread");
+                    }
+                });
+            },
+        );
     }
+    handle.stop();
     group.finish();
 }
 

@@ -180,7 +180,7 @@ fn paper_note(id: &str) -> &'static str {
             "beyond the paper: degree-guided pruning of the candidate set L on a sparse keyed type"
         }
         "concurrent_connections" => {
-            "beyond the paper: TCP front-end scalability — epoll event loop vs blocking thread-per-connection pool at equal workers"
+            "beyond the paper: TCP front-end scalability — the epoll event loop holding 1024 simultaneous clients at 4 workers"
         }
         "vary_shards" => {
             "beyond the paper: distributed chase over the wire — 1/2/4-shard gk-cluster vs standalone, ingest+converge and query throughput"

@@ -25,12 +25,8 @@ pub const USAGE: &str = "usage:
                      [--chain C] [--radius D] [--seed S] --out DIR
   graphkeys serve    <graph.triples> <keys.gk> [--port P] [--threads N]
                      [--engine reference|incremental|parallel]
-                     [--net-model epoll|threaded]  TCP front-end: nonblocking
-                     epoll event loop (default) or the deprecated blocking
-                     thread-per-connection pool
                      [--max-conns N]           admission bound on simultaneous
-                     connections; beyond it new ones get ERR busy (0 = off;
-                     epoll model only)
+                     connections; beyond it new ones get ERR busy (0 = off)
                      [--data-dir DIR] [--fsync always|batch|never]
                      [--compact-threshold N]   fold the delta overlay into a
                      fresh base CSR once delta+tombstones reach N (0 = off)
@@ -515,7 +511,6 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<(), String> {
             "slow-query-ms",
             "cache-entries",
             "trace-buffer",
-            "net-model",
             "max-conns",
             "shard-id",
         ],
@@ -589,23 +584,9 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<(), String> {
     server.set_cache_entries(cache_entries);
     server.set_trace_buffer(trace_buffer);
     let server = std::sync::Arc::new(server);
-    let model: gk_server::NetModel = match f.get("net-model") {
-        Some(m) => m.parse()?,
-        None => gk_server::NetModel::default(),
-    };
-    let max_conns = f.get_parse("max-conns", 0usize)?;
-    if max_conns > 0 && model == gk_server::NetModel::Threaded {
-        return Err(
-            "--max-conns needs --net-model epoll (the threaded pool's own size is its bound)"
-                .into(),
-        );
-    }
-    // The scrape endpoint rides the epoll reactor; under the threaded
-    // model serve_with spawns its dedicated sidecar thread.
     let opts = gk_server::ServeOptions {
         threads,
-        model,
-        max_conns,
+        max_conns: f.get_parse("max-conns", 0usize)?,
         metrics_addr: f.get("metrics-addr").map(str::to_string),
     };
     let handle = gk_server::serve_with(server, &format!("127.0.0.1:{port}"), &opts)
@@ -621,7 +602,7 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<(), String> {
     };
     let _ = writeln!(
         out,
-        "serving on {} with {threads} worker thread(s), engine={engine}, net-model={model}{role_note}",
+        "serving on {} with {threads} worker thread(s), engine={engine}{role_note}",
         handle.addr()
     );
     print!("{out}");
@@ -1241,6 +1222,19 @@ mod tests {
             &mut out
         )
         .is_err());
+        // The reactor is the only front-end: no model to choose.
+        let err = run_to(
+            &args(&[
+                "serve",
+                &format!("{d}/g.triples"),
+                &format!("{d}/k.gk"),
+                "--net-model",
+                "threaded",
+            ]),
+            &mut out,
+        )
+        .unwrap_err();
+        assert!(err.contains("unknown flag \"--net-model\""), "{err}");
     }
 
     #[test]

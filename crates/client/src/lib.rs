@@ -116,10 +116,8 @@ impl Conn {
     /// Reads one response paragraph (without the terminating blank line).
     ///
     /// With a deadline, every socket refill is armed with what's *left*
-    /// of it — the same overall-deadline discipline as the server's
-    /// one-shot `request_with_timeout`: per-read timeouts alone would let
-    /// a slow-drip server extend the call arbitrarily, because each byte
-    /// resets a per-read timer.
+    /// of it: per-read timeouts alone would let a slow-drip server extend
+    /// the call arbitrarily, because each byte resets a per-read timer.
     fn read_paragraph(&mut self, deadline: Option<Instant>) -> std::io::Result<String> {
         let mut out = String::new();
         let mut line: Vec<u8> = Vec::new();
@@ -818,6 +816,44 @@ mod tests {
             "three stalled calls must each wait only the deadline, took {:?}",
             t0.elapsed()
         );
+    }
+
+    #[test]
+    fn deadline_bounds_the_whole_call_against_a_slow_drip() {
+        // A mock that drips one byte per 50ms forever: each drip resets a
+        // per-read timer, so only a true overall deadline ends the call.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let stop = Arc::new(AtomicBool::new(false));
+        let drip_stop = Arc::clone(&stop);
+        let dripper = std::thread::spawn(move || {
+            use std::io::Write;
+            let Ok((mut conn, _)) = listener.accept() else {
+                return;
+            };
+            while !drip_stop.load(Ordering::SeqCst) {
+                if conn.write_all(b"x").is_err() {
+                    return;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
+        });
+
+        let mut c = Client::lazy(&addr);
+        c.set_deadline(Some(std::time::Duration::from_millis(300)));
+        let start = std::time::Instant::now();
+        let err = c
+            .request_line("PING")
+            .expect_err("a dripping paragraph must hit the deadline");
+        let elapsed = start.elapsed();
+        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut, "{err}");
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "deadline must bound the whole call, took {elapsed:?}"
+        );
+        stop.store(true, Ordering::SeqCst);
+        dripper.join().unwrap();
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! The router: the cluster's front door, speaking the same line-in /
-//! paragraph-out protocol as a standalone `gk-server`.
+//! paragraph-out protocol as a standalone `gk-server` — served by the
+//! same epoll reactor ([`gk_server::serve_handler`]), so framing, blank
+//! lines, `QUIT`, the request-size bound and admission behave
+//! identically.
 //!
 //! Queries forward raw (byte-for-byte, including malformed lines — the
 //! shard's own `ERR usage:` answer comes back unchanged) to a shard picked
@@ -7,15 +10,18 @@
 //! identically, the hash just spreads read load.  Mutations go through the
 //! [`Coordinator`]: broadcast to every replica, then the distributed chase
 //! converges before the client gets its answer.  `METRICS` answers the
-//! router's own registry (the `gk_cluster_*` family); shard metrics stay
-//! reachable on the shards themselves.
+//! router's own registry (the `gk_cluster_*` family plus the reactor's
+//! connection families); shard metrics stay reachable on the shards
+//! themselves.
 
 use crate::coordinator::Coordinator;
 use gk_client::Client;
 use gk_metrics::Registry;
-use gk_server::{Request, Response, MAX_REQUEST_LINE};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use gk_server::{
+    serve_handler, LineHandler, NetMetrics, Request, Response, ServeHandle, ServeOptions,
+};
+use parking_lot::Mutex;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -26,11 +32,12 @@ use std::time::Duration;
 /// (its un-snapshotted external merges are re-shipped from the global log).
 pub const DEFAULT_HEARTBEAT: Duration = Duration::from_millis(200);
 
-/// A running router: accept loop + heartbeat thread.
+/// A running router: the reactor front + the heartbeat thread.
 pub struct RouterHandle {
     addr: String,
+    front: ServeHandle,
     stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    heartbeat: Option<JoinHandle<()>>,
 }
 
 impl RouterHandle {
@@ -39,76 +46,52 @@ impl RouterHandle {
         &self.addr
     }
 
-    /// Stops the accept loop and the heartbeat.  Connection handler
-    /// threads exit when their clients disconnect.
-    pub fn stop(mut self) {
+    /// Stops the heartbeat and the front, joining every thread the
+    /// router started.
+    pub fn stop(self) {
         self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
+        if let Some(t) = self.heartbeat {
             let _ = t.join();
         }
+        self.front.stop();
     }
 }
 
-/// Binds `listen` and serves the cluster front until `stop()`.
+/// Binds `listen` and serves the cluster front until `stop()`. The
+/// front is the same epoll reactor a standalone server runs (same
+/// framing, request-size bound and connection metrics, counted into
+/// `registry`), with [`ServeOptions::default`] workers routing lines.
 pub fn serve_router(
     coordinator: Arc<Coordinator>,
     registry: Arc<Registry>,
     listen: &str,
     heartbeat: Duration,
 ) -> io::Result<RouterHandle> {
-    let listener = TcpListener::bind(listen)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?.to_string();
+    let net = NetMetrics::register(&registry);
+    let router = Router {
+        pools: coordinator
+            .shard_addrs()
+            .iter()
+            .map(|a| ShardPool {
+                addr: a.clone(),
+                idle: Mutex::new(Vec::new()),
+            })
+            .collect(),
+        coord: coordinator.clone(),
+        registry,
+    };
+    let front = serve_handler(Arc::new(router), net, listen, &ServeOptions::default())?;
     let stop = Arc::new(AtomicBool::new(false));
-    let mut threads = Vec::new();
-
-    {
-        let (coord, reg, stop) = (coordinator.clone(), registry.clone(), stop.clone());
-        threads.push(std::thread::spawn(move || {
-            accept_loop(&listener, &coord, &reg, &stop);
-        }));
-    }
-    if !heartbeat.is_zero() {
-        let (coord, stop) = (coordinator, stop.clone());
-        threads.push(std::thread::spawn(move || {
-            heartbeat_loop(&coord, heartbeat, &stop);
-        }));
-    }
+    let heartbeat = (!heartbeat.is_zero()).then(|| {
+        let stop = stop.clone();
+        std::thread::spawn(move || heartbeat_loop(&coordinator, heartbeat, &stop))
+    });
     Ok(RouterHandle {
-        addr,
+        addr: front.addr().to_string(),
+        front,
         stop,
-        threads,
+        heartbeat,
     })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    coord: &Arc<Coordinator>,
-    reg: &Arc<Registry>,
-    stop: &Arc<AtomicBool>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((conn, _)) => {
-                let (coord, reg) = (coord.clone(), reg.clone());
-                std::thread::spawn(move || {
-                    let _ = handle_conn(conn, &coord, &reg);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        }
-    }
 }
 
 fn heartbeat_loop(coord: &Arc<Coordinator>, interval: Duration, stop: &Arc<AtomicBool>) {
@@ -128,23 +111,36 @@ fn heartbeat_loop(coord: &Arc<Coordinator>, interval: Duration, stop: &Arc<Atomi
     }
 }
 
-/// Per-connection lazily dialed query clients, one per shard.
-struct QueryConns {
-    addrs: Vec<String>,
-    conns: Vec<Option<Client>>,
+/// Reused query connections to one shard: a worker takes an idle client
+/// (or dials a new one) per forwarded read and returns it afterwards, so
+/// the pool holds at most one client per concurrently forwarding worker.
+struct ShardPool {
+    addr: String,
+    idle: Mutex<Vec<Client>>,
 }
 
-impl QueryConns {
-    fn new(addrs: &[String]) -> QueryConns {
-        QueryConns {
-            addrs: addrs.to_vec(),
-            conns: addrs.iter().map(|_| None).collect(),
-        }
+impl ShardPool {
+    fn forward(&self, line: &str) -> io::Result<String> {
+        let popped = self.idle.lock().pop();
+        let mut client = popped.unwrap_or_else(|| Client::lazy(&self.addr));
+        // A failed call leaves the client disconnected; it redials on
+        // next use, so it goes back to the pool either way.
+        let answer = client.request_line(line);
+        self.idle.lock().push(client);
+        answer
     }
+}
 
-    fn forward(&mut self, shard: usize, line: &str) -> io::Result<String> {
-        let c = self.conns[shard].get_or_insert_with(|| Client::lazy(&self.addrs[shard]));
-        c.request_line(line)
+/// The router's [`LineHandler`]: runs on the reactor's workers.
+struct Router {
+    coord: Arc<Coordinator>,
+    registry: Arc<Registry>,
+    pools: Vec<ShardPool>,
+}
+
+impl LineHandler for Router {
+    fn answer(&self, line: &str) -> String {
+        answer_line(line, &self.coord, &self.registry, &self.pools)
     }
 }
 
@@ -181,38 +177,8 @@ fn is_mutation(req: &Request) -> bool {
     )
 }
 
-fn handle_conn(conn: TcpStream, coord: &Arc<Coordinator>, reg: &Arc<Registry>) -> io::Result<()> {
-    let mut reader = BufReader::new(conn.try_clone()?);
-    let mut writer = conn;
-    let mut queries = QueryConns::new(coord.shard_addrs());
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(());
-        }
-        if line.len() > MAX_REQUEST_LINE {
-            writer.write_all(b"ERR request too long\n\n")?;
-            continue;
-        }
-        let request = line.trim_end_matches(['\r', '\n']);
-        if request.eq_ignore_ascii_case("QUIT") {
-            writer.write_all(b"BYE\n\n")?;
-            return Ok(());
-        }
-        let answer = answer_line(request, coord, reg, &mut queries);
-        writer.write_all(format!("{answer}\n\n").as_bytes())?;
-        writer.flush()?;
-    }
-}
-
 /// Routes one request line and renders the answer paragraph.
-fn answer_line(
-    line: &str,
-    coord: &Arc<Coordinator>,
-    reg: &Registry,
-    queries: &mut QueryConns,
-) -> String {
+fn answer_line(line: &str, coord: &Coordinator, reg: &Registry, pools: &[ShardPool]) -> String {
     let n = coord.num_shards();
     let parsed = Request::parse(line);
     let answer = match &parsed {
@@ -225,10 +191,10 @@ fn answer_line(
         Ok(Request::Trace { inner }) if is_mutation(inner) => {
             Ok("ERR TRACE of a mutation is not supported through the cluster router".to_string())
         }
-        Ok(req) => queries.forward(affinity(req, n), line),
+        Ok(req) => pools[affinity(req, n)].forward(line),
         // Unparseable lines forward raw so the shard's own ERR answer
         // (usage text and all) comes back byte-identical to standalone.
-        Err(_) => queries.forward(0, line),
+        Err(_) => pools[0].forward(line),
     };
     answer.unwrap_or_else(|e| format!("ERR {e}"))
 }

@@ -203,11 +203,13 @@ fn router_intercepts_cluster_internal_and_admin_verbs() {
     let r = front.request_line("TRACE SAME alb0_0 alb0_1").unwrap();
     assert!(r.starts_with("TRACE id="), "{r}");
 
-    // METRICS answers the *router's* registry: the cluster family.
+    // METRICS answers the *router's* registry: the cluster family and
+    // the front's connection family.
     let metrics = front.request_line("METRICS").unwrap();
     assert!(metrics.contains("gk_cluster_rounds_total"), "{metrics}");
     assert!(metrics.contains("gk_cluster_merges_rx_total"), "{metrics}");
     assert!(metrics.contains("gk_shard_rpc_micros"), "{metrics}");
+    assert!(metrics.contains("gk_connections_active 1"), "{metrics}");
 
     // STATS forwards to shard 0, which reports its cluster role.
     let stats = front.request_line("STATS").unwrap();
@@ -230,6 +232,63 @@ fn router_intercepts_cluster_internal_and_admin_verbs() {
         front.request_line("SAME onearg").unwrap(),
         standalone.handle("SAME onearg")
     );
+    cluster.stop();
+}
+
+/// Writes `bytes` on a fresh connection to `addr` and returns everything
+/// answered before the connection closes (EOF or reset). Fails instead of
+/// hanging when no close comes.
+fn answer_then_close(addr: &str, bytes: Vec<u8>) -> String {
+    use std::io::{Read, Write};
+    let conn = std::net::TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = conn.try_clone().unwrap();
+    // The front may cut the connection mid-write: that reset is the
+    // behavior under test, not a failure.
+    let feeder = std::thread::spawn(move || {
+        let _ = writer.write_all(&bytes);
+    });
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        match (&conn).read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => raw.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("no close after {:?}: {e}", String::from_utf8_lossy(&raw)),
+        }
+    }
+    feeder.join().unwrap();
+    String::from_utf8_lossy(&raw).into_owned()
+}
+
+#[test]
+fn router_rejects_oversized_lines_and_floods_then_closes() {
+    let cluster = Cluster::launch(
+        &initial_graph(1),
+        KEYS,
+        "127.0.0.1:0",
+        &ClusterOpts {
+            shards: 2,
+            heartbeat: Duration::ZERO,
+            ..ClusterOpts::default()
+        },
+    )
+    .unwrap();
+    let addr = cluster.router_addr().to_string();
+
+    let mut oversized = vec![b'A'; gk_server::MAX_REQUEST_LINE + 1];
+    oversized.push(b'\n');
+    assert_eq!(
+        answer_then_close(&addr, oversized),
+        "ERR request too long\n\n"
+    );
+    let flood = vec![b'B'; 1 << 20];
+    assert_eq!(answer_then_close(&addr, flood), "ERR request too long\n\n");
+
+    // The front still serves well-formed clients.
+    assert_eq!(Client::lazy(&addr).request_line("PING").unwrap(), "PONG");
     cluster.stop();
 }
 

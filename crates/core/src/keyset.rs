@@ -11,9 +11,91 @@
 use crate::pattern::{Key, KeyError};
 use gk_graph::{GraphView, TypeId};
 use gk_isomorph::PairPattern;
-use petgraph::algo::{condensation, toposort};
-use petgraph::graph::DiGraph;
 use rustc_hash::FxHashMap;
+
+/// The key-level dependency graph of a [`KeySet`]: node `i` is the
+/// set's `i`-th key, and `succ[i]` lists (sorted, without repeats) the
+/// keys `i` depends on.
+#[derive(Clone, Debug)]
+pub struct DependencyGraph {
+    succ: Vec<Vec<usize>>,
+}
+
+impl DependencyGraph {
+    /// Number of keys.
+    pub fn node_count(&self) -> usize {
+        self.succ.len()
+    }
+
+    /// Number of distinct dependency edges (self-loops included).
+    pub fn edge_count(&self) -> usize {
+        self.succ.iter().map(Vec::len).sum()
+    }
+
+    /// Strongly connected components (Tarjan): each key's component id,
+    /// and each component's keys. Components are numbered in the order
+    /// Tarjan completes them, so every edge between two components points
+    /// from a higher id to a lower one.
+    fn sccs(&self) -> (Vec<usize>, Vec<Vec<usize>>) {
+        struct Tarjan<'a> {
+            succ: &'a [Vec<usize>],
+            index: Vec<usize>,
+            low: Vec<usize>,
+            on_stack: Vec<bool>,
+            stack: Vec<usize>,
+            next: usize,
+            comp: Vec<usize>,
+            members: Vec<Vec<usize>>,
+        }
+        impl Tarjan<'_> {
+            fn visit(&mut self, v: usize) {
+                self.index[v] = self.next;
+                self.low[v] = self.next;
+                self.next += 1;
+                self.stack.push(v);
+                self.on_stack[v] = true;
+                for &w in &self.succ[v] {
+                    if self.index[w] == usize::MAX {
+                        self.visit(w);
+                        self.low[v] = self.low[v].min(self.low[w]);
+                    } else if self.on_stack[w] {
+                        self.low[v] = self.low[v].min(self.index[w]);
+                    }
+                }
+                if self.low[v] == self.index[v] {
+                    let id = self.members.len();
+                    let mut keys = Vec::new();
+                    while let Some(w) = self.stack.pop() {
+                        self.on_stack[w] = false;
+                        self.comp[w] = id;
+                        keys.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    self.members.push(keys);
+                }
+            }
+        }
+        let n = self.succ.len();
+        let mut t = Tarjan {
+            succ: &self.succ,
+            index: vec![usize::MAX; n],
+            low: vec![0; n],
+            on_stack: vec![false; n],
+            stack: Vec::new(),
+            next: 0,
+            comp: vec![usize::MAX; n],
+            members: Vec::new(),
+        };
+        for v in 0..n {
+            if t.index[v] == usize::MAX {
+                t.visit(v);
+            }
+        }
+        (t.comp, t.members)
+    }
+}
 
 /// A validated set of keys `Σ`.
 #[derive(Clone, Debug)]
@@ -71,21 +153,27 @@ impl KeySet {
     /// The key-level dependency graph: an edge `i → j` when key `i` has an
     /// entity variable whose type is key `j`'s target type (identifying
     /// `i`'s pair may require a pair already identified by `j`).
-    pub fn dependency_graph(&self) -> DiGraph<usize, ()> {
-        let mut g: DiGraph<usize, ()> = DiGraph::new();
-        let nodes: Vec<_> = (0..self.keys.len()).map(|i| g.add_node(i)).collect();
+    pub fn dependency_graph(&self) -> DependencyGraph {
         let mut by_target: FxHashMap<&str, Vec<usize>> = FxHashMap::default();
         for (j, k) in self.keys.iter().enumerate() {
             by_target.entry(k.target_type.as_str()).or_default().push(j);
         }
-        for (i, k) in self.keys.iter().enumerate() {
-            for dep_ty in k.dependency_types() {
-                for &j in by_target.get(dep_ty).map(Vec::as_slice).unwrap_or(&[]) {
-                    g.update_edge(nodes[i], nodes[j], ());
-                }
-            }
-        }
-        g
+        let succ = self
+            .keys
+            .iter()
+            .map(|k| {
+                let mut out: Vec<usize> = k
+                    .dependency_types()
+                    .iter()
+                    .flat_map(|ty| by_target.get(ty).map(Vec::as_slice).unwrap_or(&[]))
+                    .copied()
+                    .collect();
+                out.sort_unstable();
+                out.dedup();
+                out
+            })
+            .collect();
+        DependencyGraph { succ }
     }
 
     /// The dependency-chain length `c`: the longest path (in edges) through
@@ -95,40 +183,29 @@ impl KeySet {
     /// of dependent keys).
     pub fn longest_chain(&self) -> usize {
         let g = self.dependency_graph();
-        if g.edge_count() == 0 {
-            return 0;
-        }
-        // Condense SCCs; each condensed node's weight = extra chain length
-        // contributed by the SCC itself.
-        let cond = condensation(g, true);
-        let order = toposort(&cond, None).expect("condensation is a DAG");
-        let mut best: FxHashMap<_, usize> = FxHashMap::default();
-        let mut overall = 0usize;
-        for &n in order.iter().rev() {
-            let own = {
-                let members = &cond[n];
-                if members.len() > 1 {
-                    members.len()
-                } else {
-                    // A singleton with a self-loop in the original graph
-                    // (self-recursive key) still counts as one hop.
-                    usize::from(
-                        self.keys[members[0]]
-                            .dependency_types()
-                            .contains(&self.keys[members[0]].target_type.as_str()),
-                    )
-                }
+        let (comp, members) = g.sccs();
+        // Tarjan numbers components sinks-first, so every successor
+        // component's chain is final before its predecessors read it.
+        let mut best = vec![0usize; members.len()];
+        for (c, keys) in members.iter().enumerate() {
+            // A component of k > 1 mutually recursive keys is k hops; a
+            // singleton counts one only when the key refers to its own
+            // target type (a self-loop).
+            let own = if keys.len() > 1 {
+                keys.len()
+            } else {
+                usize::from(g.succ[keys[0]].contains(&keys[0]))
             };
-            let succ_best = cond
-                .neighbors(n)
-                .map(|m| 1 + best.get(&m).copied().unwrap_or(0))
+            let succ_best = keys
+                .iter()
+                .flat_map(|&k| &g.succ[k])
+                .filter(|&&t| comp[t] != c)
+                .map(|&t| 1 + best[comp[t]])
                 .max()
                 .unwrap_or(0);
-            let total = own + succ_best;
-            best.insert(n, total);
-            overall = overall.max(total);
+            best[c] = own + succ_best;
         }
-        overall
+        best.into_iter().max().unwrap_or(0)
     }
 
     /// Compiles the whole set against a graph.

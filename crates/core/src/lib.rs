@@ -70,7 +70,7 @@ pub use em_mr::{em_mr, em_mr_sim, MatchOutcome, MrVariant};
 pub use em_vc::{em_vc, em_vc_sim, VcVariant};
 pub use eqrel::EqRel;
 pub use incremental::{chase_incremental, chase_incremental_traced};
-pub use keyset::{CompiledKey, CompiledKeySet, KeySet};
+pub use keyset::{CompiledKey, CompiledKeySet, DependencyGraph, KeySet};
 pub use metrics::ChaseMetrics;
 pub use parallel::{chase_parallel, chase_parallel_traced, ChaseEngine, ParallelOpts};
 pub use pattern::{Key, KeyBuilder, KeyError, KeyTriple, Term};

@@ -2,10 +2,9 @@
 //! reporting workload shapes (|G|, type counts, degree distribution).
 
 use crate::graph::Graph;
-use serde::Serialize;
 
 /// Aggregate shape of a graph.
-#[derive(Debug, Clone, Serialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Number of entity nodes.
     pub entities: usize,

@@ -1,25 +1,24 @@
 //! The epoll reactor: one nonblocking I/O thread serving thousands of
-//! connections, with request execution on a small worker pool.
-//!
-//! The threaded front-end in `net` pins one pool thread per *open*
-//! connection, so concurrency is capped at `--threads`, not at sockets.
-//! This module decouples the two:
+//! connections, with request execution on a small worker pool. It is
+//! the only code that accepts line-protocol connections; what it serves
+//! is a [`LineHandler`] (a standalone `Server` or the cluster router),
+//! and it never branches on which.
 //!
 //! * **One reactor thread** owns every socket. Connections are
 //!   nonblocking and registered **edge-triggered** (`EPOLLET`); the
 //!   reactor drains each readiness edge completely (read until
 //!   `WouldBlock`, write until `WouldBlock` or empty) so no edge is ever
 //!   lost. Partial request lines accumulate in a growable per-connection
-//!   buffer over the same line/paragraph framing the threaded model
-//!   speaks — a slow-loris client costs one idle buffer, not a thread.
+//!   buffer — a slow-loris client costs one idle buffer, not a thread.
 //! * **A bounded ready queue** hands complete request lines to `threads`
-//!   worker threads, which run `Server::handle` (this can block on the
-//!   index write lock) and post the rendered response paragraph back to
-//!   the reactor through a completion channel plus an eventfd wakeup.
-//!   Responses are written per connection in request order: a connection
-//!   has at most one request in flight on the pool, further parsed lines
-//!   wait in its pending queue (pipelining across *connections* is what
-//!   scales; within one connection the protocol is ordered anyway).
+//!   worker threads, which run [`LineHandler::answer`] (this can block,
+//!   e.g. on the index write lock or a shard round trip) and post the
+//!   rendered response paragraph back to the reactor through a
+//!   completion channel plus an eventfd wakeup. Responses are written
+//!   per connection in request order: a connection has at most one job
+//!   in flight on the pool, further parsed lines wait in its pending
+//!   queue (pipelining across *connections* is what scales; within one
+//!   connection the protocol is ordered anyway).
 //! * **Backpressure**: a connection whose pending-request queue or
 //!   response write queue exceeds its bound gets `EPOLLIN` un-armed
 //!   (`EPOLL_CTL_MOD`) until the excess drains — the kernel receive
@@ -37,14 +36,12 @@
 //!   — no connect-to-self hack: the reactor wakes, closes every socket,
 //!   and drops the ready queue, which releases the workers.
 //!
-//! The `/metrics` HTTP listener can ride the same reactor (see
+//! The `/metrics` HTTP listener rides the same reactor (see
 //! [`crate::ServeOptions::metrics_addr`]): scrape connections are
-//! one-shot HTTP state machines multiplexed alongside the line protocol,
-//! retiring the dedicated sidecar thread.
+//! one-shot HTTP state machines multiplexed alongside the line protocol
+//! and answered by [`LineHandler::scrape`].
 
-use crate::http;
-use crate::net::{ServeOptions, MAX_REQUEST_LINE};
-use crate::protocol::Server;
+use crate::net::{LineHandler, NetMetrics, ServeOptions, MAX_REQUEST_LINE};
 use libc::c_int;
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
@@ -79,8 +76,8 @@ const MAX_HTTP_HEAD: usize = 16 * 1024;
 /// How many consecutive parsed requests from one connection ride in a
 /// single pool job. Batching amortizes the worker→eventfd→reactor
 /// handoff over a pipelined burst (per-request cost would otherwise
-/// floor deep pipelining well above the blocking model); responses stay
-/// in order because the batch executes sequentially on one worker.
+/// dominate deep pipelining); responses stay in order because the batch
+/// executes sequentially on one worker.
 const MAX_JOB_BATCH: usize = 64;
 
 /// Interest mask of a readable connection.
@@ -187,7 +184,7 @@ enum ConnKind {
 
 /// A parsed request waiting for the worker pool (in arrival order).
 enum PendingReq {
-    /// One request line for `Server::handle`.
+    /// One request line for [`LineHandler::answer`].
     Line(String),
     /// A parsed HTTP request head.
     Http { method: String, path: String },
@@ -286,18 +283,37 @@ impl Conn {
 pub(crate) struct EpollServer {
     pub(crate) addr: SocketAddr,
     pub(crate) metrics_addr: Option<SocketAddr>,
-    pub(crate) stop: Arc<AtomicBool>,
+    stop: Arc<AtomicBool>,
     /// The shutdown eventfd. Owned by the handle: written in `stop`,
     /// closed after every thread has joined.
-    pub(crate) wake_fd: c_int,
-    pub(crate) reactor: Option<JoinHandle<()>>,
-    pub(crate) workers: Vec<JoinHandle<()>>,
+    wake_fd: c_int,
+    reactor: JoinHandle<()>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl EpollServer {
+    /// Stops the reactor, releases the workers, and joins them all.
+    pub(crate) fn stop(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // The eventfd write wakes the reactor out of epoll_wait.
+        wake_eventfd(self.wake_fd);
+        let _ = self.reactor.join();
+        for w in self.workers {
+            let _ = w.join();
+        }
+        // SAFETY: every thread that touches the eventfd has joined; this
+        // handle owns the descriptor.
+        unsafe {
+            let _ = libc::close(self.wake_fd);
+        }
+    }
 }
 
 /// Binds `addr` (and `opts.metrics_addr`, if any), spawns the reactor
 /// and `opts.threads` workers, and returns the running front-end.
 pub(crate) fn spawn(
-    server: Arc<Server>,
+    handler: Arc<dyn LineHandler>,
+    net: NetMetrics,
     addr: &str,
     opts: &ServeOptions,
 ) -> std::io::Result<EpollServer> {
@@ -342,14 +358,14 @@ pub(crate) fn spawn(
         .map(|_| {
             let ready_rx = Arc::clone(&ready_rx);
             let done_tx = done_tx.clone();
-            let server = Arc::clone(&server);
+            let handler = Arc::clone(&handler);
             std::thread::spawn(move || loop {
                 let job = match ready_rx.lock().expect("ready queue lock").recv() {
                     Ok(j) => j,
                     Err(_) => return, // reactor dropped the queue: shutdown
                 };
-                server.net.ready_depth.dec();
-                let (bytes, close_after) = execute_job(&server, job.payloads);
+                net.ready_depth.dec();
+                let (bytes, close_after) = execute_job(&*handler, job.payloads);
                 if done_tx
                     .send(Done {
                         conn: job.conn,
@@ -371,7 +387,7 @@ pub(crate) fn spawn(
     let max_conns = opts.max_conns;
     let reactor = std::thread::spawn(move || {
         Reactor {
-            server,
+            net,
             ep,
             listener,
             http_listener,
@@ -394,14 +410,14 @@ pub(crate) fn spawn(
         metrics_addr,
         stop,
         wake_fd,
-        reactor: Some(reactor),
+        reactor,
         workers,
     })
 }
 
 /// Runs one job on a pool thread; returns the concatenated in-order
 /// response bytes and whether the connection closes after them.
-fn execute_job(server: &Server, payloads: Vec<PendingReq>) -> (Vec<u8>, bool) {
+fn execute_job(handler: &dyn LineHandler, payloads: Vec<PendingReq>) -> (Vec<u8>, bool) {
     let mut bytes = Vec::new();
     let mut close_after = false;
     for payload in payloads {
@@ -411,15 +427,14 @@ fn execute_job(server: &Server, payloads: Vec<PendingReq>) -> (Vec<u8>, bool) {
                 // answer ERR and keep serving (index updates swap
                 // fully-built state at the end, so a mid-update panic
                 // leaves the old state).
-                let response =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.handle(&line)))
-                        .unwrap_or_else(|_| "ERR internal error (request handler panicked)".into());
+                let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    handler.answer(&line)
+                }))
+                .unwrap_or_else(|_| "ERR internal error (request handler panicked)".into());
                 bytes.extend_from_slice(format!("{response}\n\n").as_bytes());
             }
             PendingReq::Http { method, path } => {
-                bytes.extend_from_slice(
-                    http::render_http_response(server, &method, &path).as_bytes(),
-                );
+                bytes.extend_from_slice(handler.scrape(&method, &path).as_bytes());
                 close_after = true;
             }
             // Quit/Fatal are answered inline by the reactor; kept for
@@ -439,7 +454,7 @@ fn execute_job(server: &Server, payloads: Vec<PendingReq>) -> (Vec<u8>, bool) {
 
 /// The reactor: owns every socket and the per-connection state machines.
 struct Reactor {
-    server: Arc<Server>,
+    net: NetMetrics,
     ep: Epoll,
     listener: TcpListener,
     http_listener: Option<TcpListener>,
@@ -471,7 +486,7 @@ impl Reactor {
                     break;
                 }
             };
-            self.server.net.wakeups.inc();
+            self.net.wakeups.inc();
             for ev in &events[..n] {
                 let token = ev.u64;
                 let bits = ev.events;
@@ -492,7 +507,7 @@ impl Reactor {
         // workers (their recv errors out once the queue drains).
         for (_, conn) in self.conns.drain() {
             if conn.kind == ConnKind::Line {
-                self.server.net.connections_active.dec();
+                self.net.connections_active.dec();
             }
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
@@ -536,7 +551,7 @@ impl Reactor {
             // protocol-shaped answer instead of a silent RST. The socket
             // is still blocking and its send buffer empty, so this tiny
             // write cannot stall the reactor.
-            self.server.net.rejected.inc();
+            self.net.rejected.inc();
             let mut s = stream;
             let _ = s.write_all(b"ERR busy\n\n");
             let _ = s.shutdown(Shutdown::Both);
@@ -549,15 +564,15 @@ impl Reactor {
             // Answers are small and latency-bound; Nagle coalescing would
             // stall a pipelining client for a delayed-ACK window per batch.
             let _ = stream.set_nodelay(true);
-            self.server.net.connections_total.inc();
-            self.server.net.connections_active.inc();
+            self.net.connections_total.inc();
+            self.net.connections_active.inc();
             self.line_conns += 1;
         }
         let id = self.next_id;
         self.next_id += 1;
         if self.ep.add(stream.as_raw_fd(), id, BASE_INTEREST).is_err() {
             if kind == ConnKind::Line {
-                self.server.net.connections_active.dec();
+                self.net.connections_active.dec();
                 self.line_conns -= 1;
             }
             return;
@@ -706,7 +721,7 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => {
-                    self.server.net.read_errors.inc();
+                    self.net.read_errors.inc();
                     gk_metrics::warn!("conn_read_error", error = e);
                     self.close_conn(id);
                     return false;
@@ -740,9 +755,8 @@ impl Reactor {
                             if line.len() > MAX_REQUEST_LINE {
                                 // Answered in order after any earlier
                                 // pipelined requests, then the connection
-                                // closes — matching the threaded model's
-                                // one-request-at-a-time behavior.
-                                self.server.net.read_errors.inc();
+                                // closes.
+                                self.net.read_errors.inc();
                                 conn.parse_done = true;
                                 conn.pending
                                     .push_back(PendingReq::Fatal("ERR request too long\n\n"));
@@ -766,7 +780,7 @@ impl Reactor {
                             }
                         }
                         None if buf.len() > MAX_REQUEST_LINE + 1 => {
-                            self.server.net.read_errors.inc();
+                            self.net.read_errors.inc();
                             conn.parse_done = true;
                             conn.pending
                                 .push_back(PendingReq::Fatal("ERR request too long\n\n"));
@@ -777,8 +791,7 @@ impl Reactor {
                 }
                 conn.read_buf.drain(..consumed.min(conn.read_buf.len()));
                 // EOF mid-line: serve the unterminated tail as a request
-                // (legacy `printf 'PING' | nc` behavior, matching the
-                // threaded model).
+                // (`printf 'PING' | nc`-style clients send no newline).
                 if conn.read_closed
                     && !conn.parse_done
                     && !conn.read_buf.is_empty()
@@ -788,7 +801,7 @@ impl Reactor {
                     conn.read_buf.clear();
                     conn.parse_done = true;
                     if tail.len() > MAX_REQUEST_LINE {
-                        self.server.net.read_errors.inc();
+                        self.net.read_errors.inc();
                         conn.pending
                             .push_back(PendingReq::Fatal("ERR request too long\n\n"));
                     } else if tail.eq_ignore_ascii_case("QUIT") {
@@ -888,7 +901,7 @@ impl Reactor {
         match self.ready_tx.try_send(Job { conn: id, payloads }) {
             Ok(()) => {
                 conn.inflight = true;
-                self.server.net.ready_depth.inc();
+                self.net.ready_depth.inc();
             }
             Err(TrySendError::Full(job)) => {
                 // Bounded ready queue: park the requests back at the
@@ -917,7 +930,7 @@ impl Reactor {
                     // Partial write: keep the rest queued and finish on
                     // the next writability edge.
                     if conn.interest & libc::EPOLLOUT == 0 {
-                        self.server.net.write_stalls.inc();
+                        self.net.write_stalls.inc();
                         let mask = conn.interest | libc::EPOLLOUT;
                         if self.ep.modify(conn.stream.as_raw_fd(), id, mask).is_ok() {
                             conn.interest = mask;
@@ -927,7 +940,7 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => {
-                    self.server.net.write_errors.inc();
+                    self.net.write_errors.inc();
                     gk_metrics::warn!("conn_write_error", error = e);
                     self.close_conn(id);
                     return;
@@ -1002,7 +1015,7 @@ impl Reactor {
             return;
         };
         if conn.kind == ConnKind::Line {
-            self.server.net.connections_active.dec();
+            self.net.connections_active.dec();
             self.line_conns -= 1;
         }
         self.ep.del(conn.stream.as_raw_fd());

@@ -1,7 +1,6 @@
-//! Plain-HTTP sidecar endpoint: metrics scrapes, health checks, and
-//! flight-recorder dumps.
-//!
-//! One dedicated thread answers:
+//! Plain-HTTP scrape routes: metrics scrapes, health checks, and
+//! flight-recorder dumps, answered on the reactor's scrape listener
+//! ([`crate::ServeOptions::metrics_addr`]):
 //!
 //! * `GET /metrics` — the text exposition
 //!   ([`gk_metrics::render_exposition`]), the shape every
@@ -15,116 +14,21 @@
 //! Any other `GET` path gets a 404; any other method gets a
 //! `405 Method Not Allowed` carrying an `Allow: GET` header. The
 //! endpoint is deliberately not the line protocol: probes and scrapers
-//! speak HTTP, and a separate listener keeps their traffic off the
-//! request worker pool.
+//! speak HTTP, and a separate listener keeps their traffic apart from
+//! the line-protocol admission bound.
 
 use crate::proto::Request;
 use crate::protocol::Server;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// A running scrape endpoint. Dropping the handle without calling
-/// [`stop`](MetricsHandle::stop) leaves the daemon thread running.
-pub struct MetricsHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl MetricsHandle {
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting scrapes and joins the endpoint thread.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Binds `addr` (port 0 for ephemeral) and serves `GET
-/// /metrics|/healthz|/traces` on a dedicated thread until
-/// [`MetricsHandle::stop`].
-pub fn serve_metrics_http(server: Arc<Server>, addr: &str) -> std::io::Result<MetricsHandle> {
-    serve_with_timeout(server, addr, SCRAPE_TIMEOUT)
-}
-
-/// [`serve_metrics_http`] with an explicit per-connection I/O timeout —
-/// the tests shrink it to keep the half-open-scraper case fast.
-fn serve_with_timeout(
-    server: Arc<Server>,
-    addr: &str,
-    timeout: Duration,
-) -> std::io::Result<MetricsHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_stop = Arc::clone(&stop);
-    let thread = std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            if accept_stop.load(Ordering::SeqCst) {
-                break; // the stop() wake-up connection lands here
-            }
-            let Ok(conn) = conn else { continue };
-            answer_scrape(&server, conn, timeout);
-        }
-    });
-    Ok(MetricsHandle {
-        addr: bound,
-        stop,
-        thread: Some(thread),
-    })
-}
-
-/// How long a scrape connection may dawdle before the endpoint drops it.
-/// A single slow scraper must not wedge the (single-threaded) endpoint.
-const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Answers one scrape connection: request line + headers in, one
-/// `Connection: close` response out.
-fn answer_scrape(server: &Server, conn: TcpStream, timeout: Duration) {
-    let _ = conn.set_read_timeout(Some(timeout));
-    let _ = conn.set_write_timeout(Some(timeout));
-    let Ok(read_half) = conn.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = conn;
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
-    // Drain the headers; the response does not depend on any of them.
-    let mut header = String::new();
-    loop {
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) | Err(_) => break,
-            Ok(_) if header.trim_end_matches(['\r', '\n']).is_empty() => break,
-            Ok(_) => {}
-        }
-    }
-    let mut parts = request_line.split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let _ = writer.write_all(render_http_response(server, method, path).as_bytes());
-    let _ = writer.shutdown(Shutdown::Both);
-}
 
 /// Renders one complete `Connection: close` HTTP response for a parsed
-/// request line. Shared by the sidecar thread above and the epoll
-/// reactor's multiplexed scrape connections.
+/// request line of a server's scrape connection.
 pub(crate) fn render_http_response(server: &Server, method: &str, path: &str) -> String {
     let (status, extra, body) = route(server, method, path);
+    response(status, extra, &body)
+}
+
+/// One complete `Connection: close` HTTP response.
+pub(crate) fn response(status: &str, extra: Option<&str>, body: &str) -> String {
     let extra = extra.map_or(String::new(), |h| format!("{h}\r\n"));
     format!(
         "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\n\
@@ -177,9 +81,12 @@ fn route(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{serve_with, ServeHandle, ServeOptions};
     use gk_core::KeySet;
     use gk_graph::parse_graph;
-    use std::io::Read;
+    use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+    use std::sync::Arc;
 
     fn test_server(trace_buffer: usize) -> Arc<Server> {
         let g = parse_graph(
@@ -196,6 +103,18 @@ mod tests {
         let mut s = Server::new(g, keys);
         s.set_trace_buffer(trace_buffer);
         Arc::new(s)
+    }
+
+    /// Serves `server` with a scrape listener; returns it and its address.
+    fn serve_scrapes(server: Arc<Server>) -> (ServeHandle, SocketAddr) {
+        let opts = ServeOptions {
+            threads: 1,
+            metrics_addr: Some("127.0.0.1:0".to_string()),
+            ..ServeOptions::default()
+        };
+        let h = serve_with(server, "127.0.0.1:0", &opts).unwrap();
+        let addr = h.metrics_addr().expect("scrape listener requested");
+        (h, addr)
     }
 
     /// One raw HTTP exchange: request bytes in, full response text out.
@@ -215,12 +134,15 @@ mod tests {
     fn routes_answer_their_documented_statuses() {
         let server = test_server(4);
         let _ = server.handle("SAME a1 a2");
-        let h = serve_metrics_http(server, "127.0.0.1:0").unwrap();
-        let addr = h.addr();
+        let (h, addr) = serve_scrapes(server);
 
         let metrics = get(addr, "/metrics");
-        assert!(metrics.starts_with("HTTP/1.1 200 OK"), "{metrics}");
+        assert!(metrics.starts_with("HTTP/1.1 200 OK\r\n"), "{metrics}");
         assert!(metrics.contains("gk_requests_same_total 1"), "{metrics}");
+        assert!(
+            metrics.contains("# TYPE gk_request_micros_same histogram"),
+            "{metrics}"
+        );
 
         let health = get(addr, "/healthz");
         assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
@@ -233,7 +155,10 @@ mod tests {
         assert!(traces.contains("verb=same"), "{traces}");
 
         let missing = get(addr, "/other");
-        assert!(missing.starts_with("HTTP/1.1 404 Not Found"), "{missing}");
+        assert!(
+            missing.starts_with("HTTP/1.1 404 Not Found\r\n"),
+            "{missing}"
+        );
 
         let post = exchange(addr, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(
@@ -247,31 +172,27 @@ mod tests {
 
     #[test]
     fn traces_route_reports_tracing_off_without_a_recorder() {
-        let h = serve_metrics_http(test_server(0), "127.0.0.1:0").unwrap();
-        let traces = get(h.addr(), "/traces");
+        let (h, addr) = serve_scrapes(test_server(0));
+        let traces = get(addr, "/traces");
         assert!(traces.starts_with("HTTP/1.1 200 OK"), "{traces}");
         assert!(traces.contains("ERR tracing is off"), "{traces}");
         h.stop();
     }
 
     #[test]
-    fn half_open_scraper_times_out_without_wedging_the_endpoint() {
-        let h =
-            serve_with_timeout(test_server(0), "127.0.0.1:0", Duration::from_millis(100)).unwrap();
-        let addr = h.addr();
-        // A scraper that connects, sends half a request line and stalls:
-        // the endpoint must drop it at the read timeout instead of
-        // blocking its (single) accept thread forever.
+    fn half_open_scraper_does_not_wedge_the_endpoint() {
+        let (h, addr) = serve_scrapes(test_server(0));
+        // A scraper that connects, sends half a request line and stalls
+        // costs the reactor one idle buffer, not the listener.
         let mut stalled = TcpStream::connect(addr).unwrap();
         stalled.write_all(b"GET /met").unwrap();
-        // A well-behaved scrape right behind it still gets served. It
-        // queues behind the stalled connection for at most ~100ms.
+        // A well-behaved scrape right behind it is served at once.
         let metrics = get(addr, "/metrics");
         assert!(metrics.starts_with("HTTP/1.1 200 OK"), "{metrics}");
-        // The stalled connection was shut down, not answered.
+        // Shutdown closes the stalled connection without an answer.
+        h.stop();
         let mut rest = String::new();
         stalled.read_to_string(&mut rest).unwrap_or_default();
         assert!(rest.is_empty(), "stalled scraper got: {rest}");
-        h.stop();
     }
 }

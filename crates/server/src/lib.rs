@@ -26,7 +26,7 @@
 //! | [`EmIndex`] | `index` | snapshot-swapped `OverlayGraph` (shared base CSR + O(batch) delta) + a versioned Σ ([`EmIndex::add_keys`] / [`EmIndex::drop_key`] evolve it at runtime) + `EqRel` with rep map and duplicate clusters; threshold-compacted; optional write-through durability (`gk-store` WAL + snapshots, crash recovery) |
 //! | [`Request`] / [`Response`] | `proto` | the typed request/response surface with a lossless `parse`/`render` pair |
 //! | [`Server`] | `protocol` | [`Server::execute`] maps requests (`SAME`, `DUPS`, `EXPLAIN`, `INSERT`, `DELETE`, `ADDKEY`, `DROPKEY`, `KEYS`, `SNAPSHOT`, `COMPACT`, `STATS`, `TRACE`, `TRACES`) to responses; [`Server::handle`] is the line-protocol shim |
-//! | [`serve`] / [`serve_with`] | `net` + `event_loop` | TCP framing: a nonblocking epoll reactor + worker pool by default ([`NetModel::Epoll`]), or the legacy blocking thread-per-connection pool ([`NetModel::Threaded`]) |
+//! | [`serve`] / [`serve_with`] / [`serve_handler`] | `net` + `event_loop` | TCP framing: one nonblocking epoll reactor + worker pool serving any [`LineHandler`] (a [`Server`], or the cluster router), with the HTTP scrape routes on the same reactor |
 //!
 //! ## In-process use
 //!
@@ -65,13 +65,12 @@ mod net;
 mod proto;
 mod protocol;
 
-pub use http::{serve_metrics_http, MetricsHandle};
 pub use index::{
     AdvanceMode, AdvanceReport, EmIndex, IndexState, IndexStats, KeyChange, RecoveryReport,
     StepLog, DEFAULT_COMPACT_THRESHOLD,
 };
 pub use net::{
-    request, request_with_timeout, serve, serve_with, NetModel, ServeHandle, ServeOptions,
+    serve, serve_handler, serve_with, LineHandler, NetMetrics, ServeHandle, ServeOptions,
     MAX_REQUEST_LINE,
 };
 pub use proto::{
@@ -1125,56 +1124,30 @@ mod tests {
     }
 
     #[test]
-    fn http_endpoint_serves_get_metrics_scrapes() {
-        use std::io::{Read as _, Write as _};
-        let s = Arc::new(server());
-        s.handle("SAME alb1 alb2");
-        let h = serve_metrics_http(Arc::clone(&s), "127.0.0.1:0").unwrap();
-        let scrape = |path: &str| -> String {
-            let mut conn = std::net::TcpStream::connect(h.addr()).unwrap();
-            conn.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
-                .unwrap();
-            let mut out = String::new();
-            conn.read_to_string(&mut out).unwrap();
-            out
-        };
-        let ok = scrape("/metrics");
-        assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
-        assert!(ok.contains("gk_requests_same_total 1"), "{ok}");
-        assert!(
-            ok.contains("# TYPE gk_request_micros_same histogram"),
-            "{ok}"
-        );
-        let miss = scrape("/other");
-        assert!(miss.starts_with("HTTP/1.1 404 Not Found\r\n"), "{miss}");
-        h.stop();
-    }
-
-    #[test]
     fn tcp_round_trip_with_worker_pool() {
+        use crate::net::tests::ask;
         let s = Arc::new(server());
         let handle = serve(Arc::clone(&s), "127.0.0.1:0", 4).unwrap();
         let addr = handle.addr().to_string();
 
-        assert!(request(&addr, "SAME alb1 alb2").unwrap().starts_with("YES"));
-        let proof = request(&addr, "EXPLAIN art1 art2").unwrap();
+        assert!(ask(&addr, "SAME alb1 alb2").starts_with("YES"));
+        let proof = ask(&addr, "EXPLAIN art1 art2");
         assert!(
             proof.contains('\n'),
             "multi-line response survives framing: {proof:?}"
         );
-        let r = request(
+        let r = ask(
             &addr,
             r#"INSERT alb3:album name_of "Anthology 2" ; alb3:album release_year "1996""#,
-        )
-        .unwrap();
+        );
         assert!(r.contains("mode=incremental"), "{r}");
-        assert!(request(&addr, "SAME alb1 alb3").unwrap().starts_with("YES"));
+        assert!(ask(&addr, "SAME alb1 alb3").starts_with("YES"));
 
         // Parallel clients over the pool.
         let clients: Vec<_> = (0..8)
             .map(|_| {
                 let addr = addr.clone();
-                std::thread::spawn(move || request(&addr, "DUPS alb1").unwrap())
+                std::thread::spawn(move || ask(&addr, "DUPS alb1"))
             })
             .collect();
         for c in clients {

@@ -33,16 +33,17 @@
 //! pre-typed protocol.
 
 use crate::index::{EmIndex, IndexState, RecoveryReport};
+use crate::net::NetMetrics;
 use crate::proto::{MergeEntry, ProofLine, RecordedTrace, Request, Response};
 use gk_core::{parse_keys, ChaseEngine, Key, KeySet};
 use gk_graph::{parse_triple_specs, EntityId, Graph, GraphView, TripleSpec};
-use gk_metrics::{Counter, Gauge, Histogram, Registry, Span};
+use gk_metrics::{Counter, Histogram, Registry, Span};
 use gk_store::Durability;
 use parking_lot::Mutex;
 use rustc_hash::{FxHashMap, FxHasher};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -81,12 +82,12 @@ pub struct Server {
     slow_query_micros: u64,
     /// Per-verb request counters + latency histograms.
     verbs: VerbMetrics,
-    /// Connection-lifecycle metrics, recorded by the TCP framing layer
-    /// ([`crate::net`]) through the shared server handle.
+    /// Connection-lifecycle metrics, recorded by the reactor
+    /// ([`crate::event_loop`]) when this server is served over TCP.
     pub(crate) net: NetMetrics,
-    /// Which front-end serves this instance (0 = not serving, 1 = epoll,
-    /// 2 = threaded) — `STATS` reports `net_model=`.
-    net_model: AtomicU64,
+    /// Whether the reactor serves this instance — `STATS` reports
+    /// `net_model=epoll`, or `none` in-process.
+    served: AtomicBool,
     /// The `--max-conns` admission bound (0 = unlimited) — `STATS`
     /// reports `max_conns=`.
     max_conns: AtomicU64,
@@ -362,66 +363,6 @@ impl VerbMetrics {
     }
 }
 
-/// Connection-lifecycle metrics the TCP framing records.
-pub(crate) struct NetMetrics {
-    /// Connections accepted since startup (`gk_connections_total`).
-    pub(crate) connections_total: Counter,
-    /// Connections currently open (`gk_connections_active`).
-    pub(crate) connections_active: Gauge,
-    /// Request-read I/O errors (`gk_conn_read_errors_total`).
-    pub(crate) read_errors: Counter,
-    /// Response-write I/O errors (`gk_conn_write_errors_total`).
-    pub(crate) write_errors: Counter,
-    /// Connections refused by `--max-conns` admission control
-    /// (`gk_conns_rejected_total`).
-    pub(crate) rejected: Counter,
-    /// Requests parsed and queued for the worker pool but not yet picked
-    /// up (`gk_ready_queue_depth`).
-    pub(crate) ready_depth: Gauge,
-    /// Event-loop `epoll_wait` returns (`gk_eventloop_wakeups_total`).
-    pub(crate) wakeups: Counter,
-    /// Responses that did not fit the socket buffer in one write and
-    /// re-armed `EPOLLOUT` (`gk_conn_write_stalls_total`).
-    pub(crate) write_stalls: Counter,
-}
-
-impl NetMetrics {
-    fn register(reg: &Registry) -> NetMetrics {
-        NetMetrics {
-            connections_total: reg.counter(
-                "gk_connections_total",
-                "TCP connections accepted since startup.",
-            ),
-            connections_active: reg
-                .gauge("gk_connections_active", "TCP connections currently open."),
-            read_errors: reg.counter(
-                "gk_conn_read_errors_total",
-                "Connections dropped by a request-read I/O error.",
-            ),
-            write_errors: reg.counter(
-                "gk_conn_write_errors_total",
-                "Connections dropped by a response-write I/O error.",
-            ),
-            rejected: reg.counter(
-                "gk_conns_rejected_total",
-                "Connections refused with `ERR busy` by --max-conns admission control.",
-            ),
-            ready_depth: reg.gauge(
-                "gk_ready_queue_depth",
-                "Requests queued for the worker pool, not yet picked up (epoll model).",
-            ),
-            wakeups: reg.counter(
-                "gk_eventloop_wakeups_total",
-                "Event-loop epoll_wait returns since startup.",
-            ),
-            write_stalls: reg.counter(
-                "gk_conn_write_stalls_total",
-                "Responses that outgrew the socket buffer and re-armed EPOLLOUT.",
-            ),
-        }
-    }
-}
-
 impl Server {
     /// Builds the server: runs the startup chase on `graph` under `keys`
     /// with the default incremental engine.
@@ -475,7 +416,7 @@ impl Server {
         Server {
             verbs: VerbMetrics::register(reg),
             net: NetMetrics::register(reg),
-            net_model: AtomicU64::new(0),
+            served: AtomicBool::new(false),
             max_conns: AtomicU64::new(0),
             cache: None,
             cache_metrics: CacheMetrics::register(reg),
@@ -494,16 +435,12 @@ impl Server {
         &self.index
     }
 
-    /// Records which front-end serves this instance and its admission
+    /// Records that the reactor serves this instance and its admission
     /// bound, for `STATS` (`net_model=`, `max_conns=`). Called by
     /// [`crate::serve_with`]; an embedded (non-serving) server reports
     /// `net_model=none`.
-    pub(crate) fn note_net_config(&self, model: crate::net::NetModel, max_conns: usize) {
-        let code = match model {
-            crate::net::NetModel::Epoll => 1,
-            crate::net::NetModel::Threaded => 2,
-        };
-        self.net_model.store(code, Ordering::Relaxed);
+    pub(crate) fn note_net_config(&self, max_conns: usize) {
+        self.served.store(true, Ordering::Relaxed);
         self.max_conns.store(max_conns as u64, Ordering::Relaxed);
     }
 
@@ -1026,10 +963,10 @@ impl Server {
         );
         push(
             "net_model",
-            match self.net_model.load(Ordering::Relaxed) {
-                1 => "epoll",
-                2 => "threaded",
-                _ => "none",
+            if self.served.load(Ordering::Relaxed) {
+                "epoll"
+            } else {
+                "none"
             }
             .to_string(),
         );

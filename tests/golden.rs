@@ -147,26 +147,54 @@ fn golden_framing() {
     // produces exactly this shape). Blank lines yield NO response
     // paragraph, so the paragraphs stay aligned with the requests — a
     // spurious `ERR` for a blank line would shift every answer after it.
+    // A cluster router must frame the session byte-for-byte the same:
+    // clients cannot tell it from a standalone server.
     use keys_for_graphs::server::serve;
     use std::io::{Read, Write};
 
+    const SCRIPT: &str = "PING\n\nSAME alb1 alb2\n\n\nDUPS alb1\nREP alb2\n\nQUIT\n";
+    let session = |addr: &str| -> String {
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        // A front that stalls on the script fails here instead of hanging.
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        conn.write_all(SCRIPT.as_bytes()).unwrap();
+        let mut raw = String::new();
+        // QUIT answers BYE and closes the connection, ending the read.
+        conn.read_to_string(&mut raw)
+            .unwrap_or_else(|e| panic!("{addr}: {e} after {raw:?}"));
+        let mut got = String::new();
+        for line in SCRIPT.lines() {
+            let _ = writeln!(got, ">> {line}");
+        }
+        got.push('\n');
+        got.push_str(&raw);
+        got
+    };
+
     let s = std::sync::Arc::new(server());
     let handle = serve(std::sync::Arc::clone(&s), "127.0.0.1:0", 1).unwrap();
-    let script = "PING\n\nSAME alb1 alb2\n\n\nDUPS alb1\nREP alb2\n\nQUIT\n";
-    let mut conn = std::net::TcpStream::connect(handle.addr()).unwrap();
-    conn.write_all(script.as_bytes()).unwrap();
-    let mut raw = String::new();
-    // QUIT answers BYE and closes the connection, ending the read.
-    conn.read_to_string(&mut raw).unwrap();
+    let standalone = session(&handle.addr().to_string());
     handle.stop();
+    check_golden("framing", &standalone);
 
-    let mut got = String::new();
-    for line in script.lines() {
-        let _ = writeln!(got, ">> {line}");
-    }
-    got.push('\n');
-    got.push_str(&raw);
-    check_golden("framing", &got);
+    let cluster = Cluster::launch(
+        GRAPH,
+        KEYS,
+        "127.0.0.1:0",
+        &ClusterOpts {
+            shards: 2,
+            heartbeat: std::time::Duration::ZERO,
+            ..ClusterOpts::default()
+        },
+    )
+    .unwrap();
+    let routed = session(cluster.router_addr());
+    cluster.stop();
+    assert_eq!(
+        routed, standalone,
+        "the router's framing diverged from framing.txt"
+    );
 }
 
 #[test]
@@ -176,7 +204,7 @@ fn golden_net() {
     // oversized request line (both close the connection), and the
     // QUIT/BYE framing of a pipelined session. `<EOF>` marks where the
     // server hung up.
-    use keys_for_graphs::server::{serve_with, NetModel, ServeOptions};
+    use keys_for_graphs::server::{serve_with, ServeOptions};
     use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpStream;
 
@@ -186,7 +214,6 @@ fn golden_net() {
         "127.0.0.1:0",
         &ServeOptions {
             threads: 1,
-            model: NetModel::Epoll,
             max_conns: 1,
             metrics_addr: None,
         },

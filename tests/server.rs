@@ -35,6 +35,13 @@ fn catalog_server() -> Server {
     Server::new(parse_graph(CATALOG).unwrap(), KeySet::parse(KEYS).unwrap())
 }
 
+/// A client whose every call fails after 10 s instead of hanging.
+fn client(addr: &str) -> Client {
+    let mut c = Client::lazy(addr);
+    c.set_deadline(Some(std::time::Duration::from_secs(10)));
+    c
+}
+
 #[test]
 fn query_ingest_query_loop_via_incremental_path() {
     let server = catalog_server();
@@ -148,7 +155,7 @@ fn concurrent_readers_see_no_torn_state_during_insert() {
 fn concurrent_tcp_clients_with_mixed_traffic() {
     // The same race through real sockets and the worker pool: 8 TCP
     // clients issue SAME/DUPS while one client INSERTs.
-    use keys_for_graphs::server::{request, serve};
+    use keys_for_graphs::server::serve;
 
     let server = Arc::new(catalog_server());
     let handle = serve(Arc::clone(&server), "127.0.0.1:0", 4).unwrap();
@@ -160,6 +167,7 @@ fn concurrent_tcp_clients_with_mixed_traffic() {
             let addr = addr.clone();
             let barrier = &barrier;
             scope.spawn(move || {
+                let mut client = client(&addr);
                 barrier.wait();
                 let mut seen_post = false;
                 for i in 0..40 {
@@ -168,7 +176,7 @@ fn concurrent_tcp_clients_with_mixed_traffic() {
                     } else {
                         "SAME r1 r2"
                     };
-                    let resp = request(&addr, req).unwrap();
+                    let resp = client.request_line(req).unwrap();
                     let post = resp.starts_with("YES");
                     assert!(
                         post || resp.starts_with("NO"),
@@ -185,12 +193,13 @@ fn concurrent_tcp_clients_with_mixed_traffic() {
         let barrier = &barrier;
         scope.spawn(move || {
             barrier.wait();
-            let resp = request(&addr2, MERGING_INSERT).unwrap();
+            let resp = client(&addr2).request_line(MERGING_INSERT).unwrap();
             assert!(resp.starts_with("OK"), "{resp}");
         });
     });
 
-    assert!(request(&addr, "SAME b1 b2").unwrap().starts_with("YES"));
+    let after = client(&addr).request_line("SAME b1 b2").unwrap();
+    assert!(after.starts_with("YES"), "{after}");
     handle.stop();
 }
 
@@ -238,8 +247,7 @@ fn blank_lines_are_skipped_and_framing_stays_aligned() {
 #[test]
 fn one_shot_request_times_out_against_a_silent_server() {
     // A listener that accepts and then never answers models a wedged
-    // server. Before the timeout fix, `request` blocked forever here.
-    use keys_for_graphs::server::request_with_timeout;
+    // server: a client under a deadline must fail instead of blocking.
     use std::net::TcpListener;
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -251,7 +259,10 @@ fn one_shot_request_times_out_against_a_silent_server() {
     });
 
     let t0 = std::time::Instant::now();
-    let err = request_with_timeout(&addr, "STATS", std::time::Duration::from_millis(200))
+    let mut c = Client::lazy(&addr);
+    c.set_deadline(Some(std::time::Duration::from_millis(200)));
+    let err = c
+        .request_line("STATS")
         .expect_err("read against a silent server must time out");
     assert!(
         matches!(
